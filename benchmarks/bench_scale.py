@@ -2,13 +2,11 @@
 """Large-N scaling benchmark (``BENCH_scale.json``).
 
 A problem × ranks × components grid of SISC runs, each executed by up
-to three engines:
+to two engines:
 
-* ``legacy``   — the reference event-driven solver on the pre-PR flat
-  binary heap (:class:`repro.des.LegacyEventQueue`): the baseline the
+* ``event``    — the reference event-driven solver on the DES kernel's
+  binary-heap :class:`repro.des.EventQueue`: the baseline the
   acceptance criteria measure against;
-* ``indexed``  — the same solver on the bucket-indexed
-  :class:`repro.des.EventQueue` (O(1) same-time batch dispatch);
 * ``lockstep`` — :func:`repro.models.run_sisc_batched`, the rank-batched
   round replay that dispatches no per-rank events at all.
 
@@ -20,7 +18,7 @@ batched_chain_sweeper`, with the adaptive-skip machinery on), plus a
 event-driven run at that width would take minutes for no extra
 information.
 
-Every engine must produce the *same answer*: each grid point asserts
+Both engines must produce the *same answer*: each grid point asserts
 that :func:`repro.analysis.perf.run_fingerprint` of all the engines it
 runs is identical, so the benchmark doubles as a large-N determinism
 check.
@@ -42,13 +40,12 @@ Run directly (not under pytest)::
 
 ``--check`` enforces three gates:
 
-* lockstep >= 10x *legacy* events/sec at the scheduler-bound synthetic
+* lockstep >= 10x *event* events/sec at the scheduler-bound synthetic
   point (the 1024-rank synthetic entry with the smallest per-rank
   blocks — the regime the lockstep replay optimises);
-* lockstep >= 5x *indexed* events/sec at the 1024-rank Brusselator
+* lockstep >= 5x *event* events/sec at the 1024-rank Brusselator
   point (tiny per-rank blocks, so the gate measures the rank-batched
-  replay against the best event-driven scheduler, not the Newton
-  kernel);
+  replay against the event-driven scheduler, not the Newton kernel);
 * process peak RSS after every lockstep row stays under
   :data:`MEMORY_BUDGET_BYTES` — the rank-batched global state must not
   blow up the memory profile the lockstep replay exists to avoid.
@@ -71,13 +68,13 @@ from typing import Any
 from repro.analysis.perf import BenchReport, BenchResult, run_fingerprint
 from repro.core.records import RunResult
 from repro.core.solver import build_chain
-from repro.des import Barrier, LegacyEventQueue
+from repro.des import Barrier
 from repro.models import run_sisc_batched
 from repro.models.sisc import _sisc_process
 from repro.runtime.memory import peak_rss_bytes
 from repro.workloads import ScaleScenario
 
-ALL_ENGINES: tuple[str, ...] = ("legacy", "indexed", "lockstep")
+ALL_ENGINES: tuple[str, ...] = ("event", "lockstep")
 
 #: Process peak-RSS ceiling asserted (under ``--check``) after every
 #: lockstep row.  The largest rank-batched state on the grid is the
@@ -132,9 +129,7 @@ def _config(scenario: ScaleScenario, rounds: int):
     return replace(scenario.solver_config(), max_iterations=rounds)
 
 
-def run_reference(
-    scenario: ScaleScenario, rounds: int, *, legacy_queue: bool
-) -> tuple[RunResult, int]:
+def run_reference(scenario: ScaleScenario, rounds: int) -> tuple[RunResult, int]:
     """One event-driven SISC run; returns (result, events dispatched)."""
     run = build_chain(
         scenario.problem(),
@@ -142,11 +137,6 @@ def run_reference(
         _config(scenario, rounds),
         model="sisc",
     )
-    if legacy_queue:
-        # Swap before anything is scheduled; build_chain schedules
-        # nothing, which the peek assertion pins down.
-        assert run.sim._queue.peek_time() is None
-        run.sim._queue = LegacyEventQueue()
     barrier = Barrier(run.n_ranks, name="sisc")
     for ctx in run.ranks:
         run.sim.spawn(f"sisc-rank-{ctx.rank}", _sisc_process(run, ctx, barrier))
@@ -182,8 +172,7 @@ def bench_point(
     }
 
     all_engines = {
-        "legacy": lambda: run_reference(scenario, rounds, legacy_queue=True),
-        "indexed": lambda: run_reference(scenario, rounds, legacy_queue=False),
+        "event": lambda: run_reference(scenario, rounds),
         "lockstep": lambda: run_lockstep(scenario, rounds),
     }
     engines = {name: all_engines[name] for name in engine_names}
@@ -221,20 +210,12 @@ def bench_point(
             f"{point}: engines disagree — fingerprints {fingerprints}"
         )
     ev = {e: s["events_per_sec"] for e, s in stats.items()}
-    lockstep_ev = ev.get("lockstep")
-    speedup_legacy = (
-        lockstep_ev / ev["legacy"]
-        if lockstep_ev is not None and "legacy" in ev
-        else None
-    )
-    speedup_indexed = (
-        lockstep_ev / ev["indexed"]
-        if lockstep_ev is not None and "indexed" in ev
-        else None
+    speedup = (
+        ev["lockstep"] / ev["event"] if "lockstep" in ev and "event" in ev else None
     )
     parts = [f"{e} {rate:,.0f} ev/s" for e, rate in ev.items()]
-    if speedup_legacy is not None:
-        parts.append(f"({speedup_legacy:.1f}x vs legacy)")
+    if speedup is not None:
+        parts.append(f"({speedup:.1f}x vs event)")
     rss_engine = "lockstep" if "lockstep" in stats else next(iter(stats))
     parts.append(f"rss {stats[rss_engine]['peak_rss_bytes'] / 1e6:,.0f} MB")
     print(f"{point}: " + ", ".join(parts))
@@ -243,8 +224,7 @@ def bench_point(
         "problem": problem,
         "n_ranks": n_ranks,
         "n_components": scenario.n_components,
-        "speedup_vs_legacy": speedup_legacy,
-        "speedup_vs_indexed": speedup_indexed,
+        "speedup_vs_event": speedup,
         "lockstep_peak_rss_bytes": (
             stats["lockstep"]["peak_rss_bytes"] if "lockstep" in stats else None
         ),
@@ -275,12 +255,12 @@ def check(summaries: list[dict[str, Any]]) -> list[str]:
     """
     problems: list[str] = []
 
-    def gated_point(problem: str, speedup_key: str) -> dict[str, Any] | None:
+    def gated_point(problem: str) -> dict[str, Any] | None:
         rows = [
             s
             for s in summaries
             if s["problem"] == problem
-            and s[speedup_key] is not None
+            and s["speedup_vs_event"] is not None
             and s["n_ranks"] <= 1024
         ]
         if not rows:
@@ -291,21 +271,14 @@ def check(summaries: list[dict[str, Any]]) -> list[str]:
             key=lambda s: s["n_components"],
         )
 
-    gated = gated_point("synthetic", "speedup_vs_legacy")
-    if gated is not None and gated["speedup_vs_legacy"] < 10.0:
-        problems.append(
-            f"{gated['point']}: lockstep only "
-            f"{gated['speedup_vs_legacy']:.1f}x the legacy scheduler's "
-            f"events/sec (expected >= 10x)"
-        )
-
-    gated = gated_point("brusselator", "speedup_vs_indexed")
-    if gated is not None and gated["speedup_vs_indexed"] < 5.0:
-        problems.append(
-            f"{gated['point']}: lockstep only "
-            f"{gated['speedup_vs_indexed']:.1f}x the indexed scheduler's "
-            f"events/sec (expected >= 5x)"
-        )
+    for problem, floor in (("synthetic", 10.0), ("brusselator", 5.0)):
+        gated = gated_point(problem)
+        if gated is not None and gated["speedup_vs_event"] < floor:
+            problems.append(
+                f"{gated['point']}: lockstep only "
+                f"{gated['speedup_vs_event']:.1f}x the event-driven "
+                f"scheduler's events/sec (expected >= {floor:g}x)"
+            )
 
     for s in summaries:
         rss = s["lockstep_peak_rss_bytes"]

@@ -789,7 +789,7 @@ def run_aiac(
     if injector is not None:
         injector.install(run)
     if profiler is not None:
-        run.sim.attach_profiler(profiler)
+        run.sim.attach_observer(profiler)
     if guard is not None:
         guard.attach(run)
     for ctx in run.ranks:

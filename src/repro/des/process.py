@@ -24,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Hold", "Wait", "Signal", "Process", "ProcessDied"]
 
+_INF = float("inf")
+
 
 class Hold:
     """Command: advance this process by ``duration`` of virtual time.
@@ -36,8 +38,11 @@ class Hold:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"Hold duration must be >= 0, got {duration!r}")
+        # One chained comparison (hot path); NaN and +-inf fail it too.
+        if not 0 <= duration < _INF:
+            raise ValueError(
+                f"Hold duration must be finite and >= 0, got {duration!r}"
+            )
         self.duration = duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -46,48 +46,29 @@ class Simulator:
     ``t == 1.5``, before ``a``'s at ``t == 2.0``.
     """
 
-    def __init__(self, *, queue: Any = None) -> None:
-        #: ``queue`` swaps the event-queue implementation (the benchmark
-        #: harness passes :class:`~repro.des.event.LegacyEventQueue` to
-        #: measure the pre-optimisation baseline); the default is the
-        #: bucket-indexed :class:`~repro.des.event.EventQueue`.
-        self._queue = queue if queue is not None else EventQueue()
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._stop_requested = False
         self._failure: tuple[Process | None, BaseException] | None = None
         self.processes: list[Process] = []
-        #: Optional dispatch observer (see :meth:`attach_profiler`).
-        self.profiler: Any = None
+        #: Dispatch observers, called in attach order (see
+        #: :meth:`attach_observer`).
+        self.observers: list[Any] = []
         #: Dispatch telemetry: total events whose callback was invoked,
         #: and the number of same-timestamp batches they arrived in.
         self.n_dispatched = 0
         self.n_batches = 0
 
-    def attach_profiler(self, profiler: Any) -> "Simulator":
-        """Attach a profiler whose ``record(event)`` sees every dispatch.
+    def attach_observer(self, observer: Any) -> "Simulator":
+        """Attach an observer whose ``record(event)`` sees every dispatch.
 
-        The profiler observes each event *before* its callback runs; it
-        must not mutate simulation state.  When no profiler is attached
-        (the default) the event loop takes a separate branch with zero
-        per-event overhead.  Returns ``self`` for chaining.
+        Observers see each event *before* its callback runs, in the
+        order they were attached; they must not mutate simulation
+        state.  Returns ``self`` for chaining.
         """
-        self.profiler = profiler
-        return self
-
-    def attach_monitor(self, monitor: Any) -> "Simulator":
-        """Attach a dispatch observer *on top of* any existing one.
-
-        Unlike :meth:`attach_profiler` (which owns the single observer
-        slot), this composes: the current occupant of the slot — a
-        profiler, or another monitor — is stored on ``monitor.chain``
-        and the monitor is expected to forward ``record(event)`` to it.
-        Used by :class:`repro.guard.InvariantMonitor`, which piggybacks
-        on the profiler slot so the observer-off dispatch loop stays
-        bit-identical.  Returns ``self`` for chaining.
-        """
-        monitor.chain = self.profiler
-        self.profiler = monitor
+        self.observers.append(observer)
         return self
 
     # ------------------------------------------------------------------
@@ -186,7 +167,7 @@ class Simulator:
         queue = self._queue
         peek_time = queue.peek_time
         pop_at = queue.pop_at
-        profiler = self.profiler
+        observers = self.observers
         try:
             while not self._stop_requested:
                 next_time = peek_time()
@@ -200,36 +181,22 @@ class Simulator:
                 # (still in scheduling order — pop_at preserves the
                 # (time, seq) total order) without re-checking the
                 # horizon per event.  stop() keeps its "stop after the
-                # current event" semantics via the inner check.  The
-                # loop is duplicated so the profiler-off path carries no
-                # per-event branch at all.
+                # current event" semantics via the inner check.
                 event = pop_at(next_time)
                 batch_n = 0
-                if profiler is None:
-                    while event is not None:
-                        batch_n += 1
-                        try:
-                            event.callback(*event.args)
-                        except BaseException as exc:  # noqa: BLE001 - rewrapped below
-                            self._failure = (None, exc)
-                            self._stop_requested = True
-                            break
-                        if self._stop_requested:
-                            break
-                        event = pop_at(next_time)
-                else:
-                    while event is not None:
-                        batch_n += 1
-                        profiler.record(event)
-                        try:
-                            event.callback(*event.args)
-                        except BaseException as exc:  # noqa: BLE001 - rewrapped below
-                            self._failure = (None, exc)
-                            self._stop_requested = True
-                            break
-                        if self._stop_requested:
-                            break
-                        event = pop_at(next_time)
+                while event is not None:
+                    batch_n += 1
+                    for observer in observers:
+                        observer.record(event)
+                    try:
+                        event.callback(*event.args)
+                    except BaseException as exc:  # noqa: BLE001 - rewrapped below
+                        self._failure = (None, exc)
+                        self._stop_requested = True
+                        break
+                    if self._stop_requested:
+                        break
+                    event = pop_at(next_time)
                 self.n_dispatched += batch_n
                 self.n_batches += 1
         finally:

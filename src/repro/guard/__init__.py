@@ -8,8 +8,8 @@ fooled by a quiescent-but-wrong rank, a retry storm that never
 terminates.  ``repro.guard`` checks those properties while a run
 executes instead of trusting them:
 
-* :class:`InvariantMonitor` — piggybacks on the DES profiler slot
-  (``Simulator.attach_monitor``) and periodically asserts component
+* :class:`InvariantMonitor` — a DES dispatch observer
+  (``Simulator.attach_observer``) that periodically asserts component
   conservation, per-channel sequence monotonicity and
   checkpoint–ownership consistency; at halt time its
   :meth:`~InvariantMonitor.verify_halt` oracle recomputes the *true*

@@ -6,16 +6,16 @@ Attach pattern
 :class:`~repro.core.solver.ChainRun` *before* the rank processes are
 spawned.  Two hooks connect it to the run:
 
-* the DES dispatch loop, via :meth:`Simulator.attach_monitor` — the
-  monitor occupies the profiler slot (chaining to any profiler already
-  there), sees every dispatched event, and sweeps the invariant
-  catalogue every ``check_every`` events;
+* the DES dispatch loop, via :meth:`Simulator.attach_observer` — the
+  monitor sees every dispatched event (after any observer attached
+  before it) and sweeps the invariant catalogue every ``check_every``
+  events;
 * the solver sweep, via ``run.guard`` — a single pointer test per
   sweep lets the divergence watchdog inspect each fresh residual and
   roll a blowing-up rank back to its checkpoint.
 
-With no monitor attached both hooks vanish: the dispatch loop keeps its
-observer-off branch and the sweep pays one ``is not None`` test, so the
+With no monitor attached both hooks vanish: the dispatch loop's observer
+list is empty and the sweep pays one ``is not None`` test, so the
 unguarded path is bit-identical (fingerprint-pinned in the test suite).
 
 Invariant catalogue (see ``docs/robustness.md``)
@@ -149,8 +149,6 @@ class InvariantMonitor:
     def __init__(self, config: GuardConfig | None = None) -> None:
         self.config = config if config is not None else GuardConfig()
         self.run: "ChainRun | None" = None
-        #: Next observer in the profiler slot (set by ``attach_monitor``).
-        self.chain: Any = None
         self.events_seen = 0
         self.checks_run = 0
         self.stall_reports: list[StallReport] = []
@@ -172,7 +170,7 @@ class InvariantMonitor:
             raise RuntimeError("InvariantMonitor is already attached to a run")
         self.run = run
         run.guard = self
-        run.sim.attach_monitor(self)
+        run.sim.attach_observer(self)
         # Seed rollback points so the divergence watchdog can restore
         # even on the lossless fast path (an injector, attached before
         # or after, re-seeds its own — both snapshot the same bounds).
@@ -187,12 +185,9 @@ class InvariantMonitor:
         return self
 
     # ------------------------------------------------------------------
-    # Dispatch-loop hook (the profiler-slot contract)
+    # Dispatch-loop hook (the observer contract)
     # ------------------------------------------------------------------
     def record(self, event: Any) -> None:
-        chain = self.chain
-        if chain is not None:
-            chain.record(event)
         self.events_seen += 1
         if self.events_seen % self.config.check_every == 0:
             self.check_invariants()

@@ -513,7 +513,7 @@ class _LockstepEngine:
         horizon = cfg.max_time
         neg_inf = -float("inf")
         all_ranks = np.arange(n)
-        # The monitor sits in the profiler slot and sees every event,
+        # The monitor is a dispatch observer and sees every event,
         # including the n spawn steps at t = 0.
         self._guard_events(n)
         k = 0

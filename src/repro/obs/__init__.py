@@ -15,8 +15,8 @@ This package gives that accounting a first-class home:
   bounded ring option for million-event sweeps;
 * :class:`~repro.obs.profile.SimProfiler` — per-event-kind dispatch
   counts and sim-time histograms for the DES kernel, attached via
-  :meth:`repro.des.simulator.Simulator.attach_profiler` (zero overhead
-  when not attached);
+  :meth:`repro.des.simulator.Simulator.attach_observer` (observation
+  only: the event trace is the same with or without it);
 * :mod:`repro.obs.harness` — `repro trace` / `repro metrics` CLI verbs
   and the metrics sidecars the experiment harnesses emit.
 

@@ -1,7 +1,7 @@
 """DES kernel profiling: per-event-kind dispatch counts and histograms.
 
 A :class:`SimProfiler` attached via
-:meth:`repro.des.simulator.Simulator.attach_profiler` observes every
+:meth:`repro.des.simulator.Simulator.attach_observer` observes every
 dispatched event: it counts dispatches per *kind* (the qualified name of
 the event's callback — ``Process._step``, ``GridNode._deliver``,
 ``FaultInjector._crash``, …) and histograms the virtual time at which
@@ -11,8 +11,8 @@ first: *what is the event loop actually doing* and *when*.
 The profiler never mutates simulation state and draws no randomness, so
 an attached profiler is observationally invisible: the DES event trace
 with and without it is bit-identical (regression-tested).  When no
-profiler is attached the simulator takes its original dispatch loop —
-the off state costs zero per-event work.
+observer is attached the dispatch loop iterates an empty observer list
+per event and does no other profiling work.
 """
 
 from __future__ import annotations

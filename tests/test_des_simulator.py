@@ -147,6 +147,14 @@ def test_negative_hold_rejected():
         Hold(-1.0)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_hold_rejected(duration):
+    # Hold(nan) would queue an event pop_at(nan) never matches
+    # (nan != nan), so run() would spin forever on empty batches.
+    with pytest.raises(ValueError, match="finite"):
+        Hold(duration)
+
+
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule_at(1.0, sim.stop)
@@ -330,7 +338,7 @@ def test_run_until_signal_just_past_horizon_returns_false():
 
 
 # ----------------------------------------------------------------------
-# Profiler hook
+# Observer hook
 # ----------------------------------------------------------------------
 def test_attach_profiler_observes_every_dispatch():
     class Recorder:
@@ -342,7 +350,7 @@ def test_attach_profiler_observes_every_dispatch():
 
     sim = Simulator()
     recorder = Recorder()
-    assert sim.attach_profiler(recorder) is sim
+    assert sim.attach_observer(recorder) is sim
     sim.at(1.0, lambda: None)
     sim.at(2.0, lambda: None)
     sim.at(2.0, lambda: None)
@@ -372,7 +380,7 @@ def test_profiled_run_matches_unprofiled_run():
     sim1.run()
     sim2 = Simulator()
     counter = Counter()
-    sim2.attach_profiler(counter)
+    sim2.attach_observer(counter)
     workload(sim2, prof_log)
     sim2.run()
     assert plain_log == prof_log

@@ -40,27 +40,34 @@ def test_guard_config_rejects_bad_values():
 # ----------------------------------------------------------------------
 # Attach wiring
 # ----------------------------------------------------------------------
-def test_attach_occupies_profiler_slot_and_chains():
+def test_observers_attached_around_guard_see_every_event_in_order():
     problem, platform, config = _small()
     run = build_chain(problem, platform, config, model="aiac")
 
     class Recorder:
+        """Logs how many events the guard had seen at each dispatch."""
+
         def __init__(self):
-            self.n = 0
+            self.guard = None
+            self.seen_by_guard = []
 
         def record(self, event):
-            self.n += 1
+            self.seen_by_guard.append(self.guard.events_seen)
 
-    recorder = Recorder()
-    run.sim.profiler = recorder
+    before, after = Recorder(), Recorder()
+    run.sim.attach_observer(before)
     guard = InvariantMonitor().attach(run)
-    assert run.sim.profiler is guard
-    assert guard.chain is recorder
+    run.sim.attach_observer(after)
+    before.guard = after.guard = guard
     assert run.guard is guard
-    # Chained observer still sees every event the monitor sees.
     run.sim.at(1.0, lambda: None)
     run.sim.run(until=2.0)
-    assert guard.events_seen == recorder.n > 0
+    n = run.sim.n_dispatched
+    assert n > 0 and guard.events_seen == n
+    # Attach order: the earlier recorder runs before the guard counts
+    # each event, the later one after.
+    assert before.seen_by_guard == list(range(n))
+    assert after.seen_by_guard == list(range(1, n + 1))
 
 
 def test_attach_twice_is_rejected():
