@@ -41,7 +41,7 @@ from repro.problems.base import Problem
 from repro.integrity import checkpoint_crc, corrupt_array_inplace
 from repro.runtime.message import Message
 from repro.runtime.node import GridNode
-from repro.runtime.tracer import FaultRecord, IterationSpan, ResidualRecord, Tracer
+from repro.runtime.tracer import FaultRecord, Tracer
 from repro.topology.graphs import Topology
 
 __all__ = ["ChainRun", "RankContext", "run_aiac", "build_chain"]
@@ -201,6 +201,20 @@ class ChainRun:
                 halo_right=problem.initial_halo(hi),
             )
             self.ranks.append(ctx)
+        # Chain neighbours, resolved once: ``neighbor()`` is on the
+        # per-message path.
+        self._neighbors: dict[str, list[RankContext | None]] = {
+            side: [
+                None if idx is None else self.ranks[idx]
+                for idx in (
+                    self.topology.path_neighbor(rank, side)
+                    for rank in range(n_ranks)
+                )
+            ]
+            for side in ("left", "right")
+        }
+        #: Wire size of one halo message (payload plus header).
+        self.halo_bytes = problem.halo_nbytes() + config.header_bytes
         for ctx in self.ranks:
             self._register_halo_handlers(ctx)
             if self.detector is not None:
@@ -217,10 +231,13 @@ class ChainRun:
         return len(self.ranks)
 
     def neighbor(self, rank: int, side: str) -> RankContext | None:
-        idx = self.topology.path_neighbor(rank, side)
-        if idx is None:
-            return None
-        return self.ranks[idx]
+        """The chain neighbour of ``rank`` toward ``side`` (None at ends)."""
+        try:
+            return self._neighbors[side][rank]
+        except KeyError:
+            raise ValueError(
+                f"side must be 'left' or 'right', got {side!r}"
+            ) from None
 
     def _on_converged(self) -> None:
         for ctx in self.ranks:
@@ -516,9 +533,8 @@ class ChainRun:
             "estimate": estimate,
             "iteration": ctx.iteration if iteration is None else iteration,
         }
-        nbytes = self.problem.halo_nbytes() + self.config.header_bytes
         return ctx.node.send(
-            neighbor.node, kind, payload, nbytes, exclusive=exclusive
+            neighbor.node, kind, payload, self.halo_bytes, exclusive=exclusive
         )
 
     # ------------------------------------------------------------------
@@ -574,26 +590,15 @@ class ChainRun:
             return duration
         residual_l2 = float(np.linalg.norm(result.residuals))
         ctx.estimator.update(ctx.residual, residual_l2, duration, ctx.n_local)
+        now = ctx.node.sim.now
         self.tracer.iteration(
-            IterationSpan(
-                rank=ctx.rank,
-                iteration=ctx.iteration,
-                t0=t0,
-                t1=ctx.node.sim.now,
-                work=result.total_work,
-            )
+            ctx.rank, ctx.iteration, t0, now, result.total_work
         )
         self.tracer.residual(
-            ResidualRecord(
-                rank=ctx.rank,
-                iteration=ctx.iteration,
-                time=ctx.node.sim.now,
-                residual=ctx.residual,
-                n_local=ctx.n_local,
-            )
+            ctx.rank, ctx.iteration, now, ctx.residual, ctx.n_local
         )
         if self.injector is None or not self._halo_is_stale(ctx):
-            self.monitor.report(ctx.rank, ctx.residual, ctx.node.sim.now)
+            self.monitor.report(ctx.rank, ctx.residual, now)
         if self.detector is not None and not ctx.node.stop_requested:
             self._detection_after_sweep(ctx)
         if (

@@ -35,6 +35,9 @@ class Network:
         self.default_link = default_link
         self._pair_links: dict[tuple[str, str], Link] = {}
         self._site_links: dict[tuple[str, str], Link] = {}
+        #: Resolved link per directed host-name pair, filled by
+        #: :meth:`link_for` and cleared whenever a link is registered.
+        self._links: dict[tuple[str, str], Link] = {}
         self._last_arrival: dict[tuple[str, str], float] = {}
         #: Cumulative bytes injected, for diagnostics/ablations.
         self.bytes_sent = 0.0
@@ -46,6 +49,7 @@ class Network:
     def set_pair_link(self, src: Host, dst: Host, link: Link) -> None:
         """Register a link for the directed pair ``src -> dst``."""
         self._pair_links[(src.name, dst.name)] = link
+        self._links.clear()
 
     @staticmethod
     def _site_key(site_a: str, site_b: str) -> tuple[str, str]:
@@ -61,6 +65,7 @@ class Network:
     def set_site_link(self, site_a: str, site_b: str, link: Link) -> None:
         """Register a link for all pairs between two sites (both ways)."""
         self._site_links[self._site_key(site_a, site_b)] = link
+        self._links.clear()
 
     def site_link(self, site_a: str, site_b: str) -> Link | None:
         """The registered link between two sites, if any (symmetric)."""
@@ -74,25 +79,31 @@ class Network:
         """Resolve the link used by ``src -> dst``.
 
         Priority: explicit pair link, then site-pair link, then default.
+        The answer is cached per directed pair until the next
+        registration.
         """
-        pair = self._pair_links.get((src.name, dst.name))
-        if pair is not None:
-            return pair
-        site = self._site_links.get(self._site_key(src.site, dst.site))
-        if site is not None:
-            return site
-        return self.default_link
+        channel = (src.name, dst.name)
+        link = self._links.get(channel)
+        if link is None:
+            link = self._pair_links.get(channel)
+            if link is None:
+                link = self._site_links.get(
+                    self._site_key(src.site, dst.site), self.default_link
+                )
+            self._links[channel] = link
+        return link
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def arrival_time(self, src: Host, dst: Host, nbytes: float, now: float) -> float:
         """Absolute arrival time of a message sent now, with FIFO clamping."""
+        channel = (src.name, dst.name)
         link = self.link_for(src, dst)
         arrival = now + link.transfer_time(nbytes, now)
-        channel = (src.name, dst.name)
-        previous = self._last_arrival.get(channel, -float("inf"))
-        arrival = max(arrival, previous + _FIFO_EPSILON)
+        previous = self._last_arrival.get(channel)
+        if previous is not None:
+            arrival = max(arrival, previous + _FIFO_EPSILON)
         self._last_arrival[channel] = arrival
         self.bytes_sent += nbytes
         self.messages_sent += 1

@@ -47,7 +47,7 @@ from repro.grid.host import Host
 from repro.grid.network import Network
 from repro.integrity import payload_checksum
 from repro.runtime.message import Message
-from repro.runtime.tracer import MessageRecord, Tracer
+from repro.runtime.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -331,46 +331,31 @@ class GridNode:
         """
         if self.injector is not None:
             return self._send_resilient(dst, kind, payload, size_bytes, exclusive)
-        channel = (kind, dst.rank)
+        channel = None
         if exclusive:
+            channel = (kind, dst.rank)
             if channel in self._busy_channels:
                 return False
             self._busy_channels.add(channel)
-
         now = self.sim.now
         arrival = self.network.arrival_time(self.host, dst.host, size_bytes, now)
-        message = Message(
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            src_rank=self.rank,
-            dst_rank=dst.rank,
-            send_time=now,
-            arrival_time=arrival,
-        )
-
-        def deliver() -> None:
-            if exclusive:
-                self._busy_channels.discard(channel)
-            handler = dst._handlers.get(kind)
-            if handler is None:
-                raise LookupError(
-                    f"rank {dst.rank} has no handler for message kind {kind!r}"
-                )
-            handler(message)
-
-        self.sim.schedule_at(arrival, deliver)
-        self.tracer.message(
-            MessageRecord(
-                kind=kind,
-                src_rank=self.rank,
-                dst_rank=dst.rank,
-                size_bytes=size_bytes,
-                send_time=now,
-                arrival_time=arrival,
-            )
-        )
+        message = Message(kind, payload, size_bytes, self.rank, dst.rank, now, arrival)
+        self.sim.at(arrival, self._arrive, dst, message, channel)
+        self.tracer.message(kind, self.rank, dst.rank, size_bytes, now, arrival)
         return True
+
+    def _arrive(
+        self, dst: "GridNode", message: Message, channel: tuple[str, int] | None
+    ) -> None:
+        """Lossless delivery: free the exclusive ``channel``, run the handler."""
+        if channel is not None:
+            self._busy_channels.discard(channel)
+        handler = dst._handlers.get(message.kind)
+        if handler is None:
+            raise LookupError(
+                f"rank {dst.rank} has no handler for message kind {message.kind!r}"
+            )
+        handler(message)
 
     # ------------------------------------------------------------------
     # Resilient transport (fault injection active)
@@ -439,14 +424,12 @@ class GridNode:
             transfer.in_flight += 1
             sim.at(arrival, self._deliver, transfer, arrival)
             self.tracer.message(
-                MessageRecord(
-                    kind=message.kind,
-                    src_rank=self.rank,
-                    dst_rank=transfer.dst.rank,
-                    size_bytes=message.size_bytes,
-                    send_time=now,
-                    arrival_time=arrival,
-                )
+                message.kind,
+                self.rank,
+                transfer.dst.rank,
+                message.size_bytes,
+                now,
+                arrival,
             )
         if reliable:
             rto = injector.retry_timeout(self.rank, transfer.attempt)

@@ -15,15 +15,21 @@ directly.
 Disabled-mode contract
 ----------------------
 ``Tracer(enabled=False)`` gates **all** record lists uniformly: none of
-``iterations`` / ``idles`` / ``messages`` / ``migrations`` / ``faults``
-accumulate (before the observability PR, migrations and faults leaked
-into a "disabled" tracer while busy/idle queries returned zero — the
-worst of both worlds).  Aggregate *accounting*, by contrast, is always
-on: cheap per-rank/per-kind totals are maintained on every recording
-call, so ``busy_time_of`` / ``idle_time_of`` / ``n_migrations`` /
-``components_migrated`` / ``n_messages`` are correct in both modes and
-:meth:`export_metrics` can build a full metrics snapshot even for
-untraced sweep runs.
+``iterations`` / ``idles`` / ``residuals`` / ``messages`` /
+``migrations`` / ``faults`` accumulate.  Aggregate *accounting*, by
+contrast, is always on: cheap per-rank/per-kind totals are maintained
+on every recording call, so ``busy_time_of`` / ``idle_time_of`` /
+``iteration_count_of`` / ``n_messages`` / ``n_migrations`` /
+``components_migrated`` / ``n_faults`` are correct in both modes and
+:meth:`export_metrics` builds the same snapshot for a traced and an
+untraced run.
+
+The per-message and per-sweep recorders (:meth:`Tracer.message`,
+:meth:`Tracer.iteration`, :meth:`Tracer.residual`) take the record's
+*fields* and build the frozen record only when ``enabled``: an
+untraced run allocates no record objects on its hot path.  The rarer
+recorders (:meth:`Tracer.idle`, :meth:`Tracer.migration`,
+:meth:`Tracer.fault`) take a ready-made record.
 """
 
 from __future__ import annotations
@@ -147,25 +153,38 @@ class Tracer:
         self._components_migrated = 0
 
     # Recording -----------------------------------------------------------
-    def iteration(self, span: IterationSpan) -> None:
-        self._busy[span.rank] = (
-            self._busy.get(span.rank, 0.0) + span.t1 - span.t0
-        )
-        self._iter_counts[span.rank] = self._iter_counts.get(span.rank, 0) + 1
+    def iteration(
+        self, rank: int, iteration: int, t0: float, t1: float, work: float
+    ) -> None:
+        """Account one computation block; record its span when enabled."""
+        self._busy[rank] = self._busy.get(rank, 0.0) + t1 - t0
+        self._iter_counts[rank] = self._iter_counts.get(rank, 0) + 1
         if self.enabled:
-            self.iterations.append(span)
+            self.iterations.append(IterationSpan(rank, iteration, t0, t1, work))
 
     def idle(self, span: IdleSpan) -> None:
         self._idle[span.rank] = self._idle.get(span.rank, 0.0) + span.t1 - span.t0
         if self.enabled:
             self.idles.append(span)
 
-    def message(self, record: MessageRecord) -> None:
-        kind = record.kind
+    def message(
+        self,
+        kind: str,
+        src_rank: int,
+        dst_rank: int,
+        size_bytes: float,
+        send_time: float,
+        arrival_time: float,
+    ) -> None:
+        """Account one message; record it when enabled."""
         self._msg_counts[kind] = self._msg_counts.get(kind, 0) + 1
-        self._msg_bytes[kind] = self._msg_bytes.get(kind, 0.0) + record.size_bytes
+        self._msg_bytes[kind] = self._msg_bytes.get(kind, 0.0) + size_bytes
         if self.enabled:
-            self.messages.append(record)
+            self.messages.append(
+                MessageRecord(
+                    kind, src_rank, dst_rank, size_bytes, send_time, arrival_time
+                )
+            )
 
     def migration(self, record: MigrationRecord) -> None:
         self._n_migrations += 1
@@ -173,9 +192,14 @@ class Tracer:
         if self.enabled:
             self.migrations.append(record)
 
-    def residual(self, record: ResidualRecord) -> None:
+    def residual(
+        self, rank: int, iteration: int, time: float, residual: float, n_local: int
+    ) -> None:
+        """Record a rank's end-of-sweep residual when enabled."""
         if self.enabled:
-            self.residuals.append(record)
+            self.residuals.append(
+                ResidualRecord(rank, iteration, time, residual, n_local)
+            )
 
     def fault(self, record: FaultRecord) -> None:
         self._fault_counts[record.kind] = (

@@ -143,3 +143,25 @@ def test_export_metrics_reports_totals():
     assert records["net.bytes_sent"]["value"] == pytest.approx(3000.0)
     assert records["net.active_channels"]["value"] == 1
     assert records["net.messages_sent"]["labels"] == {"run": "x"}
+
+
+# ----------------------------------------------------------------------
+# Per-pair link cache: registration invalidates resolved links
+# ----------------------------------------------------------------------
+def test_pair_link_registration_invalidates_cached_link():
+    a, b, _ = make_hosts()
+    net = Network(Link(latency=1.0, bandwidth=1e9))
+    assert net.arrival_time(a, b, 0.0, 0.0) == 1.0
+    net.set_pair_link(a, b, Link(latency=3.0, bandwidth=1e9))
+    assert net.arrival_time(a, b, 0.0, 10.0) == 13.0
+    # The reverse direction still uses the default link.
+    assert net.arrival_time(b, a, 0.0, 10.0) == 11.0
+
+
+def test_site_link_registration_invalidates_cached_link():
+    a, _, c = make_hosts()
+    net = Network(Link(latency=1.0, bandwidth=1e9))
+    assert net.arrival_time(a, c, 0.0, 0.0) == 1.0
+    net.set_site_link("s2", "s1", Link(latency=4.0, bandwidth=1e9))
+    assert net.arrival_time(a, c, 0.0, 10.0) == 14.0
+    assert net.arrival_time(c, a, 0.0, 10.0) == 14.0

@@ -14,8 +14,6 @@ from repro.obs.export import (
 from repro.runtime.tracer import (
     FaultRecord,
     IdleSpan,
-    IterationSpan,
-    MessageRecord,
     MigrationRecord,
     Tracer,
 )
@@ -23,17 +21,15 @@ from repro.runtime.tracer import (
 
 def make_tracer():
     t = Tracer()
-    t.iteration(IterationSpan(rank=0, iteration=1, t0=0.0, t1=2.0, work=10))
+    t.iteration(rank=0, iteration=1, t0=0.0, t1=2.0, work=10)
     t.idle(IdleSpan(rank=1, t0=0.0, t1=0.5, reason="barrier"))
     t.message(
-        MessageRecord(
-            kind="halo_from_left",
-            src_rank=0,
-            dst_rank=1,
-            size_bytes=64.0,
-            send_time=1.0,
-            arrival_time=1.25,
-        )
+        kind="halo_from_left",
+        src_rank=0,
+        dst_rank=1,
+        size_bytes=64.0,
+        send_time=1.0,
+        arrival_time=1.25,
     )
     t.migration(MigrationRecord(0, 1, 5, 2.0, 0.9, 0.1))
     t.fault(FaultRecord(kind="crash", time=3.0, t_end=4.5, rank=1))

@@ -1,5 +1,7 @@
 """Tests for the heat-equation waveform relaxation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,16 @@ def test_merge_validates_shape(problem):
     st = problem.initial_state(0, 15)
     with pytest.raises(ValueError):
         problem.merge(st, np.zeros((2, 3)), "left")
+
+
+def test_overflowing_halo_gives_non_finite_residual_without_warning():
+    """A corrupted (1e308) halo overflows the recurrence; the kernel
+    reports it as a non-finite residual, which the plausibility guard
+    classifies, and raises no RuntimeWarning."""
+    p = HeatProblem(n_points=15, t_end=0.5, n_steps=25)  # c*dt > 1
+    st = p.initial_state(0, 15)
+    bad = np.full((1, p.n_steps + 1), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = p.iterate(st, bad, p.initial_halo(15))
+    assert not np.isfinite(res.local_residual)

@@ -136,3 +136,59 @@ def test_handler_can_send_back():
     a.send(b, "ping", 10, 0)
     sim.run()
     assert log == [(2.0, 11)]
+
+
+# ----------------------------------------------------------------------
+# Lossless fast-path delivery contract
+# ----------------------------------------------------------------------
+def test_unregistered_kind_fails_at_delivery_naming_rank_and_kind():
+    sim, a, b, _ = make_pair()
+    assert a.send(b, "mystery", None, size_bytes=0)  # the send itself succeeds
+    with pytest.raises(
+        SimulationError, match=r"rank 1 has no handler for message kind 'mystery'"
+    ):
+        sim.run()
+
+
+def test_exclusive_busy_flag_clears_exactly_at_arrival():
+    sim, a, b, _ = make_pair(latency=10.0)
+    seen = []
+    b.register_handler(
+        "halo", lambda msg: seen.append((sim.now, a.channel_busy("halo", 1)))
+    )
+    assert a.send(b, "halo", 1, size_bytes=0, exclusive=True)
+    sim.run(until=9.5)
+    assert a.channel_busy("halo", 1)
+    # A second exclusive send while the first is in flight is suppressed.
+    assert not a.send(b, "halo", 2, size_bytes=0, exclusive=True)
+    sim.run()
+    # The flag was already clear when the handler ran, at the arrival time.
+    assert seen == [(10.0, False)]
+    assert not a.channel_busy("halo", 1)
+
+
+def test_one_arrival_computation_per_message():
+    sim, a, b, tracer = make_pair(latency=1.0)
+    b.register_handler("data", lambda m: None)
+    b.register_handler("halo", lambda m: None)
+    a.register_handler("ack", lambda m: None)
+    for i in range(4):
+        a.send(b, "data", i, size_bytes=8)
+        a.send(b, "halo", i, size_bytes=8, exclusive=True)  # 3 suppressed
+        b.send(a, "ack", i, size_bytes=8)
+    sim.run()
+    assert tracer.n_messages() == 9
+    assert a.network.messages_sent == tracer.n_messages()
+
+
+def test_pair_link_registered_after_a_send_times_the_next_send():
+    sim, a, b, tracer = make_pair(latency=1.0)
+    b.register_handler("data", lambda m: None)
+    a.send(b, "data", None, size_bytes=0)
+    sim.run()
+    a.network.set_pair_link(a.host, b.host, Link(latency=5.0, bandwidth=1e6))
+    a.send(b, "data", None, size_bytes=0)
+    sim.run()
+    first, second = tracer.messages
+    assert first.arrival_time - first.send_time == 1.0
+    assert second.arrival_time - second.send_time == 5.0

@@ -3,19 +3,16 @@
 from repro.runtime.tracer import (
     FaultRecord,
     IdleSpan,
-    IterationSpan,
-    MessageRecord,
     MigrationRecord,
-    ResidualRecord,
     Tracer,
 )
 
 
 def test_busy_and_idle_accounting():
     t = Tracer()
-    t.iteration(IterationSpan(rank=0, iteration=0, t0=0.0, t1=2.0, work=10))
-    t.iteration(IterationSpan(rank=0, iteration=1, t0=3.0, t1=5.0, work=10))
-    t.iteration(IterationSpan(rank=1, iteration=0, t0=0.0, t1=1.0, work=5))
+    t.iteration(rank=0, iteration=0, t0=0.0, t1=2.0, work=10)
+    t.iteration(rank=0, iteration=1, t0=3.0, t1=5.0, work=10)
+    t.iteration(rank=1, iteration=0, t0=0.0, t1=1.0, work=5)
     t.idle(IdleSpan(rank=0, t0=2.0, t1=3.0, reason="barrier"))
     assert t.busy_time_of(0) == 4.0
     assert t.busy_time_of(1) == 1.0
@@ -31,10 +28,10 @@ def test_disabled_tracer_gates_all_lists_but_keeps_aggregates():
     migrations and faults, which used to leak), while every aggregate
     query stays correct."""
     t = Tracer(enabled=False)
-    t.iteration(IterationSpan(0, 0, 0.0, 1.5, 1))
+    t.iteration(0, 0, 0.0, 1.5, 1)
     t.idle(IdleSpan(0, 1.5, 2.0, "barrier"))
-    t.residual(ResidualRecord(0, 0, 1.0, 0.5, 10))
-    t.message(MessageRecord("halo_from_left", 0, 1, 64.0, 0.0, 0.1))
+    t.residual(0, 0, 1.0, 0.5, 10)
+    t.message("halo_from_left", 0, 1, 64.0, 0.0, 0.1)
     t.migration(MigrationRecord(0, 1, 5, 2.0, 0.9, 0.1))
     t.fault(FaultRecord(kind="crash", time=3.0, t_end=4.0, rank=0))
     # All lists empty, uniformly.
@@ -78,10 +75,10 @@ def test_export_metrics_identical_for_enabled_and_disabled():
     from repro.obs.registry import MetricsRegistry
 
     def feed(t):
-        t.iteration(IterationSpan(0, 0, 0.0, 2.0, 10))
-        t.iteration(IterationSpan(1, 0, 0.0, 1.0, 5))
+        t.iteration(0, 0, 0.0, 2.0, 10)
+        t.iteration(1, 0, 0.0, 1.0, 5)
         t.idle(IdleSpan(1, 1.0, 1.5, "wait"))
-        t.message(MessageRecord("halo_from_left", 0, 1, 64.0, 0.0, 0.1))
+        t.message("halo_from_left", 0, 1, 64.0, 0.0, 0.1)
         t.migration(MigrationRecord(0, 1, 4, 2.0, 0.9, 0.1))
         t.fault(FaultRecord(kind="crash", time=3.0, t_end=4.0, rank=0))
 

@@ -122,3 +122,19 @@ def test_token_ring_result_time_not_before_oracle_time():
     assert r.meta["oracle_detection_time"] is not None
     assert r.time >= r.meta["oracle_detection_time"]
     assert r.meta["detection_messages"] > 0
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 5])
+def test_neighbor_table_matches_topology(n_ranks):
+    run = make_run(n_ranks=n_ranks, n=4 * n_ranks)
+    for rank in range(n_ranks):
+        for side in ("left", "right"):
+            idx = run.topology.path_neighbor(rank, side)
+            expected = None if idx is None else run.ranks[idx]
+            assert run.neighbor(rank, side) is expected
+
+
+def test_neighbor_rejects_invalid_side():
+    run = make_run()
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        run.neighbor(1, "up")
